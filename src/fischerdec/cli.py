@@ -88,10 +88,10 @@ def _cmd_dirichlet(args) -> int:
             entire.EntireSeries.from_json_dict(data_entry)
             if "parts" in data_entry else polynomial_from_json_dict(data_entry)
         )
-        truncation = request.get("truncation")
-    except (KeyError, ValueError) as exc:
+        series = dirichlet.boundary_series(spec, data, request.get("truncation"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid request: {exc}") from exc
-    solution = dirichlet.solve(spec, data, truncation)
+    solution = dirichlet.solve(spec, series)
     if args.csv:
         dirichlet.boundary_samples_csv(solution, args.csv)
     ok = solution.decomposition.exact

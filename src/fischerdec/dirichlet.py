@@ -128,7 +128,7 @@ def to_fischer_problem(spec: DomainSpec) -> FischerProblem:
       cylinder   sum_{i<d} x_i^2/a_i^2 - 1 (threshold 1)
     """
     d = spec.dimension
-    if spec.kind == "ellipsoid":
+    if spec.kind in ("ellipsoid", "cylinder"):
         terms = {}
         for i, axis in enumerate(spec.semi_axes):
             alpha = [0] * d
@@ -136,6 +136,9 @@ def to_fischer_problem(spec: DomainSpec) -> FischerProblem:
             terms[tuple(alpha)] = 1 / (Fraction(axis) ** 2)
         leading = HomogeneousPolynomial(d, 2, terms)
         lower = {0: HomogeneousPolynomial.monomial(d, (0,) * d, 1)}
+        if spec.kind == "cylinder":
+            # Transverse coercivity behaves like the planar x2^2 instance.
+            return FischerProblem(d, 1, leading, lower, X2SQ_GROWTH)
         scale = float(max(Fraction(a) ** 2 for a in spec.semi_axes))
         growth = GrowthConstants(scale=scale, offset=1.0, exponent=0.0)
         return FischerProblem(d, 1, leading, lower, growth)
@@ -147,16 +150,6 @@ def to_fischer_problem(spec: DomainSpec) -> FischerProblem:
         leading = HomogeneousPolynomial.monomial(2, (2, 0), 1)
         lower = {0: HomogeneousPolynomial.monomial(2, (0, 0), spec.parameter**2)}
         return FischerProblem(2, 1, leading, lower, X2SQ_GROWTH)
-    if spec.kind == "cylinder":
-        terms = {}
-        for i, axis in enumerate(spec.semi_axes):
-            alpha = [0] * d
-            alpha[i] = 2
-            terms[tuple(alpha)] = 1 / (Fraction(axis) ** 2)
-        leading = HomogeneousPolynomial(d, 2, terms)
-        lower = {0: HomogeneousPolynomial.monomial(d, (0,) * d, 1)}
-        # Transverse coercivity behaves like the planar x2^2 instance.
-        return FischerProblem(d, 1, leading, lower, X2SQ_GROWTH)
     raise ValueError(f"unknown domain kind {spec.kind!r}")
 
 
@@ -254,20 +247,32 @@ class DirichletSolution:
         }
 
 
-def _as_series(data, truncation: Optional[int]) -> EntireSeries:
+def boundary_series(spec: DomainSpec, data, truncation: Optional[int] = None) -> EntireSeries:
+    """Boundary data as a series at the requested truncation, checked against the domain.
+
+    Raises ValueError, before any decomposition work, for a truncation below
+    the data's, data of another dimension, or complex coefficients (the
+    boundary residual is evaluated in real floats).
+    """
     if isinstance(data, EntireSeries):
+        series = data
         if truncation is not None and truncation != data.truncation:
             if truncation < data.truncation:
                 raise ValueError("cannot shrink a series truncation")
-            return EntireSeries.from_parts(
+            series = EntireSeries.from_parts(
                 data.dimension, truncation,
                 {m: p for m, p in enumerate(data.parts) if not p.is_zero},
                 data.generator,
             )
-        return data
-    if isinstance(data, Polynomial):
-        return EntireSeries.from_polynomial(data, truncation)
-    raise TypeError("data must be a Polynomial or an EntireSeries")
+    elif isinstance(data, Polynomial):
+        series = EntireSeries.from_polynomial(data, truncation)
+    else:
+        raise TypeError("data must be a Polynomial or an EntireSeries")
+    if series.dimension != spec.dimension:
+        raise ValueError("data dimension does not match the domain")
+    if not all(coeff.is_real for part in series.parts for coeff in part.terms.values()):
+        raise ValueError("boundary data must have real coefficients")
+    return series
 
 
 def boundary_residual(
@@ -294,9 +299,7 @@ def solve(
 ) -> DirichletSolution:
     """Harmonic extension of boundary data by exact series decomposition."""
     problem = to_fischer_problem(spec)
-    series = _as_series(data, truncation)
-    if series.dimension != spec.dimension:
-        raise ValueError("data dimension does not match the domain")
+    series = boundary_series(spec, data, truncation)
     decomposition = decompose_entire(problem, series)
     report = boundary_residual(
         spec,

@@ -22,11 +22,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .fischer import FischerProblem, quotient_polynomial
+# quotient_polynomial is re-exported: perfbench's tracer test reaches the
+# recursion as entire.quotient_polynomial.
+from .fischer import (  # noqa: F401
+    DecompositionResult,
+    FischerProblem,
+    decompose_recursive,
+    quotient_polynomial,
+)
 from .polynomials import (
     HomogeneousPolynomial,
     Polynomial,
-    laplacian_power,
     polynomial_from_json_dict,
     polynomial_to_json_dict,
 )
@@ -288,30 +294,29 @@ class TailRow:
 
 @dataclass(frozen=True)
 class EntireDecomposition:
-    """q and h with data = P*q + h, exact degree-by-degree up to the truncation."""
+    """q and h with data = P*q + h, exact degree-by-degree up to the truncation.
+
+    ``polynomial`` is the same split of the truncated data as polynomials,
+    and carries the certificate.
+    """
 
     problem: FischerProblem
     data: EntireSeries
     quotient: EntireSeries
     remainder: EntireSeries
-    residual: Polynomial
-    laplacian_residual: Polynomial
+    polynomial: DecompositionResult
     tail: Tuple[TailRow, ...]
     warnings: Tuple[str, ...]
 
     @property
     def exact(self) -> bool:
-        return self.residual.is_zero and self.laplacian_residual.is_zero
+        return self.polynomial.exact
 
     def to_json_dict(self) -> dict:
         return {
             "quotient": self.quotient.to_json_dict(),
             "remainder": self.remainder.to_json_dict(),
-            "certificate": {
-                "residual": polynomial_to_json_dict(self.residual),
-                "polyharmonic_residual": polynomial_to_json_dict(self.laplacian_residual),
-                "exact": self.exact,
-            },
+            "certificate": self.polynomial.certificate_json_dict(),
             "warnings": list(self.warnings),
         }
 
@@ -355,34 +360,14 @@ def decompose_entire(
             warnings.warn(message, OrderGateWarning, stacklevel=2)
             notes.append(message)
 
-    memo: dict = {}
-    quotient_total = Polynomial.zero(problem.dimension)
-    per_degree: List[Polynomial] = []
-    for m in range(series.truncation + 1):
-        part = series.parts[m]
-        contribution = (
-            quotient_polynomial(problem, part, memo)
-            if not part.is_zero else Polynomial.zero(problem.dimension)
-        )
-        per_degree.append(contribution)
-        quotient_total = quotient_total + contribution
-
-    assembled = problem.assembled()
-    data_poly = series.to_polynomial()
-    remainder_poly = data_poly - assembled * quotient_total
-    residual = data_poly - assembled * quotient_total - remainder_poly
-    lap_residual = (
-        laplacian_power(remainder_poly, problem.k)
-        if not remainder_poly.is_zero else Polynomial.zero(problem.dimension)
-    )
-
-    quotient_series = _regrade(quotient_total, problem.dimension, series.truncation)
-    remainder_series = _regrade(remainder_poly, problem.dimension, series.truncation)
+    result = decompose_recursive(problem, series.to_polynomial())
+    quotient_series = _regrade(result.quotient, problem.dimension, series.truncation)
+    remainder_series = _regrade(result.remainder, problem.dimension, series.truncation)
 
     tail = _tail_report(quotient_series, problem, rho)
     return EntireDecomposition(
         problem, series, quotient_series, remainder_series,
-        residual, lap_residual, tail, tuple(notes),
+        result, tail, tuple(notes),
     )
 
 

@@ -253,15 +253,18 @@ class DecompositionResult:
     def exact(self) -> bool:
         return self.residual.is_zero and self.laplacian_residual.is_zero
 
+    def certificate_json_dict(self) -> dict:
+        return {
+            "residual": polynomial_to_json_dict(self.residual),
+            "polyharmonic_residual": polynomial_to_json_dict(self.laplacian_residual),
+            "exact": self.exact,
+        }
+
     def to_json_dict(self) -> dict:
         return {
             "quotient": polynomial_to_json_dict(self.quotient),
             "remainder": polynomial_to_json_dict(self.remainder),
-            "certificate": {
-                "residual": polynomial_to_json_dict(self.residual),
-                "polyharmonic_residual": polynomial_to_json_dict(self.laplacian_residual),
-                "exact": self.exact,
-            },
+            "certificate": self.certificate_json_dict(),
         }
 
 
@@ -273,9 +276,9 @@ def decompose_recursive(problem: FischerProblem, data: Polynomial) -> Decomposit
     quotient = Polynomial.zero(problem.dimension)
     for degree in sorted(data.parts, reverse=True):
         quotient = quotient + quotient_polynomial(problem, data.parts[degree], memo)
-    assembled = problem.assembled()
-    remainder = data - assembled * quotient
-    residual = data - assembled * quotient - remainder
+    product = problem.assembled() * quotient
+    remainder = data - product
+    residual = data - product - remainder
     lap_residual = laplacian_power(remainder, problem.k) if not remainder.is_zero else Polynomial.zero(problem.dimension)
     return DecompositionResult(problem, data, quotient, remainder, residual, lap_residual)
 

@@ -453,8 +453,9 @@ def fischer_inner_product(left: Polynomial, right: Polynomial) -> RationalComple
 
 def polynomial_to_json_dict(poly: Polynomial) -> dict:
     rows = []
-    for alpha in sorted(poly.terms(), key=lambda a: (multi_index_degree(a), a)):
-        coeff = poly.terms()[alpha]
+    terms = poly.terms()
+    for alpha in sorted(terms, key=lambda a: (multi_index_degree(a), a)):
+        coeff = terms[alpha]
         rows.append({
             "exponents": list(alpha),
             "re": format_fraction(coeff.re),

@@ -22,12 +22,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from . import exactla
 from .polynomials import (
     HomogeneousPolynomial,
     MultiIndex,
     Polynomial,
-    monomials_of_degree,
     squared_norm_polynomial,
 )
 from .rationals import RationalComplex, fraction_sqrt
@@ -183,8 +181,10 @@ def normalized_circle_inner(
 
 # ---------------------------------------------------------------------------
 # Gauss decomposition f = sum_l h_l |x|^{deg f - deg h_l} with harmonic h_l,
-# computed by iterated harmonic projection: at each step solve the exact
-# graded system Lap(|x|^2 q) = Lap(f), peel h = f - |x|^2 q, recurse on q.
+# computed by iterated harmonic projection: each step is the Fischer split
+# with P = |x|^2 and k = 1, so q = T f solves Lap(|x|^2 q) = Lap(f) through
+# fischer's graded operator (and its cached systems); peel h = f - |x|^2 q,
+# recurse on q.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -211,47 +211,18 @@ class AlmansiDecomposition:
         return self.reassemble() == original
 
 
-def _radial_multiplier_matrix(dimension: int, degree: int) -> tuple[list, list]:
-    """Matrix of q -> Lap(|x|^2 q) on degree-`degree` monomials, plus the basis."""
-    basis = monomials_of_degree(dimension, degree)
-    index = {alpha: i for i, alpha in enumerate(basis)}
-    radial = squared_norm_polynomial(dimension)
-    columns = []
-    for alpha in basis:
-        image = (radial * Polynomial.from_terms(dimension, {alpha: 1})).part(degree + 2).laplacian()
-        column = [RationalComplex() for _ in basis]
-        for beta, coeff in image.terms.items():
-            column[index[beta]] = coeff
-        columns.append(column)
-    matrix = [[columns[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    return matrix, basis
-
-
-def harmonic_projection_quotient(f: HomogeneousPolynomial) -> HomogeneousPolynomial:
-    """The unique q with Lap(|x|^2 q) = Lap(f); deg q = deg f - 2."""
-    if f.degree < 2 or f.is_zero:
-        return HomogeneousPolynomial.zero(f.dimension, max(f.degree - 2, 0))
-    target_degree = f.degree - 2
-    matrix, basis = _radial_multiplier_matrix(f.dimension, target_degree)
-    rhs = [RationalComplex() for _ in basis]
-    lap = f.laplacian()
-    index = {alpha: i for i, alpha in enumerate(basis)}
-    for beta, coeff in lap.terms.items():
-        rhs[index[beta]] = coeff
-    solution = exactla.solve_linear(matrix, rhs)
-    return HomogeneousPolynomial(
-        f.dimension, target_degree,
-        {alpha: value for alpha, value in zip(basis, solution)},
-    )
-
-
 def gauss_decompose(f: HomogeneousPolynomial) -> AlmansiDecomposition:
     """Exact harmonic decomposition of a homogeneous polynomial."""
+    # fischer imports this module at load time, so import it here.
+    from .fischer import FischerProblem, fischer_operator_homogeneous
+
+    radial = squared_norm_polynomial(f.dimension)
+    problem = FischerProblem(f.dimension, 1, radial.part(2))
     pieces: List[HomogeneousPolynomial] = []
     current = f
     while current.degree >= 2 and not current.is_zero:
-        quotient = harmonic_projection_quotient(current)
-        radial_part = (squared_norm_polynomial(f.dimension) * quotient.to_polynomial()).part(current.degree)
+        quotient = fischer_operator_homogeneous(problem, current)
+        radial_part = (radial * quotient.to_polynomial()).part(current.degree)
         pieces.append(current - radial_part)
         current = quotient
     pieces.append(current)
@@ -310,8 +281,7 @@ def sup_norm_estimate(f: HomogeneousPolynomial, samples: int | None = None) -> S
         samples = CIRCLE_SAMPLES if f.dimension == 2 else SPHERE_SAMPLES
     points = _sphere_sample_points(f.dimension, samples)
     estimate = float(np.max(evaluate_on_points(f, points)))
-    bound_sq = 2 * (1 + f.degree) ** (f.dimension - 1) * sphere_norm_sq_ratio(f)
-    return SupNormEstimate(estimate, math.sqrt(float(bound_sq)), samples)
+    return SupNormEstimate(estimate, certified_sup_norm_bound(f), samples)
 
 
 def certified_sup_norm_bound(f: HomogeneousPolynomial) -> float:

@@ -94,6 +94,37 @@ def test_dirichlet_request(capsys, tmp_path, x1sq_file):
     assert len(rows) > 1
 
 
+def _exp_x1_series(dimension, truncation, imaginary_degree=None):
+    from fischerdec.entire import exp_axis_series
+
+    series = exp_axis_series(dimension, 0, truncation).to_json_dict()
+    if imaginary_degree is not None:
+        series["parts"][imaginary_degree]["terms"][0]["im"] = "1/3"
+    return series
+
+
+@pytest.mark.parametrize("data, truncation", [
+    (_exp_x1_series(2, 8, imaginary_degree=5), 8),     # complex coefficients
+    (_exp_x1_series(2, 8), -2),                        # negative truncation
+    (_exp_x1_series(2, 8), 6),                         # truncation below the data's
+    (_exp_x1_series(2, 8), "8"),                       # truncation not an integer
+    ({"dimension": 2, "terms": [{"exponents": [6, 0], "re": "1", "im": "0"}]},
+     4),                                               # polynomial above the truncation
+    (_exp_x1_series(3, 8), 8),                         # data dimension differs
+], ids=["complex", "negative-truncation", "series-shrink", "string-truncation",
+        "polynomial-above", "dimension"])
+def test_invalid_dirichlet_request_exit_code(capsys, tmp_path, data, truncation):
+    request = {"domain": {"kind": "parabola", "a": "1"}, "data": data,
+               "truncation": truncation}
+    code = main(["dirichlet", "--request", write_json(tmp_path / "request.json", request)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1
+    envelope = json.loads(lines[0])
+    assert envelope["command"] == "dirichlet" and envelope["ok"] is False
+    assert envelope["error"].startswith("invalid request")
+
+
 def test_bound_scan_csv(capsys, tmp_path):
     out = tmp_path / "scan.csv"
     code, envelope = run(capsys, ["bound-scan", "--m-max", "50", "--output", str(out)])

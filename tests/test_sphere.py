@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fischerdec import exactla, fischer
 from fischerdec.polynomials import (
     HomogeneousPolynomial,
     Polynomial,
@@ -183,6 +184,33 @@ def test_gauss_parseval_exact(dimension, degree):
         Fraction(0),
     )
     assert total == sphere_norm_sq_ratio(f)
+
+
+def test_gauss_reuses_the_cached_fischer_systems(monkeypatch):
+    # A Gauss split is the Fischer split with P = |x|^2, k = 1: once
+    # decompose_recursive has built those graded systems, the split solves
+    # with the cached matrices and builds none of its own.
+    monkeypatch.setattr(fischer, "_SYSTEM_CACHE", {})
+    rng = random.Random(SEED)
+    radial = squared_norm_polynomial(3).part(2)
+    data = Polynomial(3, {m: _random_homogeneous(rng, 3, m) for m in range(9)})
+    fischer.decompose_recursive(fischer.FischerProblem(3, 1, radial), data)
+    entries = len(fischer._SYSTEM_CACHE)
+    cached = {id(matrix) for matrix, _, _ in fischer._SYSTEM_CACHE.values()}
+
+    solved = []
+    solve_linear = exactla.solve_linear
+
+    def recording_solve(matrix, rhs):
+        solved.append(id(matrix))
+        return solve_linear(matrix, rhs)
+
+    monkeypatch.setattr(exactla, "solve_linear", recording_solve)
+    f = data.part(8)
+    decomposition = gauss_decompose(f)
+    assert decomposition.verify(f)
+    assert len(fischer._SYSTEM_CACHE) == entries
+    assert len(solved) == 4 and set(solved) <= cached
 
 
 # ---------------------------------------------------------------------------
