@@ -270,7 +270,7 @@ def boundary_series(spec: DomainSpec, data, truncation: Optional[int] = None) ->
         raise TypeError("data must be a Polynomial or an EntireSeries")
     if series.dimension != spec.dimension:
         raise ValueError("data dimension does not match the domain")
-    if not all(coeff.is_real for part in series.parts for coeff in part.terms.values()):
+    if any(coeff.imag for part in series.parts for coeff in part.terms.values()):
         raise ValueError("boundary data must have real coefficients")
     return series
 

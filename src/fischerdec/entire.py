@@ -36,7 +36,6 @@ from .polynomials import (
     polynomial_from_json_dict,
     polynomial_to_json_dict,
 )
-from .rationals import RationalComplex
 from .sphere import certified_sup_norm_bound, sup_norm_estimate
 
 
@@ -394,10 +393,11 @@ def _tail_report(quotient: EntireSeries, problem: FischerProblem,
         norm = norms.get(m, 0.0)
         shape = None
         if rho is not None:
-            raw = (
-                (m + 1) ** ((quotient.dimension - 1) / 2.0)
-                / (m + 2 * problem.k) ** ((m + 2 * problem.k) / rho)
-            )
+            try:
+                decay = (m + 2 * problem.k) ** ((m + 2 * problem.k) / rho)
+            except OverflowError:  # a tiny order: the shape rounds to 0.0
+                decay = math.inf
+            raw = (m + 1) ** ((quotient.dimension - 1) / 2.0) / decay
             if scale is None and norm > 0.0 and raw > 0.0:
                 scale = norm / raw
             shape = raw * scale if scale is not None else None
@@ -517,7 +517,7 @@ def formal_quotient_constant_term(problem: FischerProblem, series: EntireSeries)
             if s >= 1 and m - s >= 0:
                 acc = acc - part.to_polynomial() * q_part(m - s)
         acc = acc - series.parts[m].to_polynomial()
-        q_m = acc.part(m).scaled(RationalComplex.coerce(1) / RationalComplex.coerce(p0))
+        q_m = acc.part(m).scaled(1 / p0)
         if not q_m.is_zero:
             quotient_parts[m] = q_m
     return EntireSeries.from_parts(problem.dimension, series.truncation, quotient_parts)

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Fraction / RationalComplex entries.
+"""Exact dense linear algebra over ``rationals.exact`` coefficients (real or complex).
 
 Pivoting is by exact nonzero test: singularity is a certain verdict, never a
 tolerance call.  Matrices are lists of lists; sizes here are desk scale.

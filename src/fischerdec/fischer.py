@@ -33,7 +33,7 @@ from .polynomials import (
     polynomial_from_json_dict,
     polynomial_to_json_dict,
 )
-from .rationals import RationalComplex, certified_leq_with_pi
+from .rationals import certified_leq_with_pi
 from .sphere import sphere_norm_sq_ratio
 
 
@@ -169,7 +169,7 @@ def _graded_system(problem: FischerProblem, quotient_degree: int):
     for alpha in basis:
         product = leading_poly * Polynomial.from_terms(problem.dimension, {alpha: 1})
         image = laplacian_power(product, problem.k).part(quotient_degree)
-        column = [RationalComplex() for _ in basis]
+        column = [0] * len(basis)
         for beta_idx, coeff in image.terms.items():
             column[index[beta_idx]] = coeff
         columns.append(column)
@@ -190,7 +190,7 @@ def fischer_operator_homogeneous(
         return HomogeneousPolynomial.zero(problem.dimension, max(f_m.degree - two_k, 0))
     quotient_degree = f_m.degree - two_k
     matrix, basis, index = _graded_system(problem, quotient_degree)
-    rhs = [RationalComplex() for _ in basis]
+    rhs = [0] * len(basis)
     for beta_idx, coeff in laplacian_power(f_m.to_polynomial(), problem.k).part(quotient_degree).terms.items():
         rhs[index[beta_idx]] = coeff
     try:

@@ -1,10 +1,11 @@
-"""Exact sparse multivariate polynomial algebra over QQ(i), graded by degree.
+"""Exact sparse multivariate polynomial algebra, graded by degree.
 
 Monomials are exponent tuples (one entry per variable); a homogeneous
 polynomial stores a dict mapping exponent tuples of a fixed total degree to
-RationalComplex coefficients, with zero coefficients never stored.  A general
-polynomial is a dict of homogeneous parts keyed by degree, so the graded
-structure that every algorithm here relies on is the representation itself.
+coefficients in the form ``rationals.exact`` gives (a ``Fraction`` unless
+complex), with zero coefficients never stored.  A general polynomial is a
+dict of homogeneous parts keyed by degree, so the graded structure that
+every algorithm here relies on is the representation itself.
 
 Differential operators act exactly: for a polynomial Q, ``apply_operator``
 realises Q(D) by replacing each variable with the matching partial
@@ -16,14 +17,15 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .rationals import RationalComplex, format_fraction, parse_fraction
+from .rationals import RationalComplex, Scalar, exact, format_fraction, parse_fraction
 
 # Exponent tuple: entry i is the degree of variable x_i.
 MultiIndex = Tuple[int, ...]
 
-CoefficientLike = object  # int | Fraction | RationalComplex
+CoefficientLike = object  # int | Scalar
 
 
 def multi_index_degree(alpha: MultiIndex) -> int:
@@ -45,7 +47,7 @@ def _validate_multi_index(alpha: MultiIndex, dimension: int) -> None:
 
 
 class HomogeneousPolynomial:
-    """A homogeneous polynomial of fixed degree, sparse over QQ(i)."""
+    """A homogeneous polynomial of fixed degree with sparse exact coefficients."""
 
     __slots__ = ("dimension", "degree", "terms")
 
@@ -54,13 +56,13 @@ class HomogeneousPolynomial:
             raise ValueError("dimension must be at least 1")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        clean: Dict[MultiIndex, RationalComplex] = {}
+        clean: Dict[MultiIndex, Scalar] = {}
         for alpha, coeff in terms.items():
             alpha = tuple(alpha)
             _validate_multi_index(alpha, dimension)
             if multi_index_degree(alpha) != degree:
                 raise ValueError(f"monomial {alpha} is not of degree {degree}")
-            value = RationalComplex.coerce(coeff)
+            value = exact(coeff)
             if value:
                 clean[alpha] = value
         self.dimension = dimension
@@ -94,7 +96,7 @@ class HomogeneousPolynomial:
             raise ValueError("cannot add homogeneous parts of different degrees")
         out = dict(self.terms)
         for alpha, coeff in other.terms.items():
-            out[alpha] = out.get(alpha, RationalComplex()) + coeff
+            out[alpha] = out.get(alpha, 0) + coeff
         return HomogeneousPolynomial(self.dimension, self.degree, out)
 
     def __sub__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
@@ -104,7 +106,7 @@ class HomogeneousPolynomial:
         return self.scaled(-1)
 
     def scaled(self, factor) -> "HomogeneousPolynomial":
-        factor = RationalComplex.coerce(factor)
+        factor = exact(factor)
         if not factor:
             return HomogeneousPolynomial.zero(self.dimension, self.degree)
         return HomogeneousPolynomial(
@@ -116,7 +118,7 @@ class HomogeneousPolynomial:
         self._check_compatible(other)
         if self.is_zero or other.is_zero:
             return HomogeneousPolynomial.zero(self.dimension, self.degree + other.degree)
-        out: Dict[MultiIndex, RationalComplex] = {}
+        out: Dict[MultiIndex, Scalar] = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 alpha = tuple(x + y for x, y in zip(a, b))
@@ -138,7 +140,7 @@ class HomogeneousPolynomial:
         _validate_multi_index(tuple(gamma), self.dimension)
         drop = multi_index_degree(gamma)
         new_degree = max(self.degree - drop, 0)
-        out: Dict[MultiIndex, RationalComplex] = {}
+        out: Dict[MultiIndex, Scalar] = {}
         for alpha, coeff in self.terms.items():
             if any(a < g for a, g in zip(alpha, gamma)):
                 continue
@@ -155,7 +157,7 @@ class HomogeneousPolynomial:
         return HomogeneousPolynomial(self.dimension, new_degree, out)
 
     def laplacian(self) -> "HomogeneousPolynomial":
-        out: Dict[MultiIndex, RationalComplex] = {}
+        out: Dict[MultiIndex, Scalar] = {}
         for alpha, coeff in self.terms.items():
             for i, a in enumerate(alpha):
                 if a >= 2:
@@ -167,10 +169,10 @@ class HomogeneousPolynomial:
                         out[beta] = value
         return HomogeneousPolynomial(self.dimension, max(self.degree - 2, 0), out)
 
-    def evaluate(self, point: Iterable) -> RationalComplex:
+    def evaluate(self, point: Iterable) -> Scalar:
         """Exact evaluation at a rational (or rational-complex) point."""
-        values = [RationalComplex.coerce(v) for v in point]
-        total = RationalComplex()
+        values = [exact(v) for v in point]
+        total = Fraction(0)
         for alpha, coeff in self.terms.items():
             term = coeff
             for v, e in zip(values, alpha):
@@ -183,22 +185,17 @@ class HomogeneousPolynomial:
         """Float evaluation at a real point, fsum-compensated across terms."""
         pieces = []
         for alpha, coeff in self.terms.items():
-            value = float(coeff.re)
+            value = float(coeff.real)
             for v, e in zip(point, alpha):
                 value *= v**e
             pieces.append(value)
-            if coeff.im:
+            if coeff.imag:
                 raise ValueError("float evaluation expects real coefficients")
         return math.fsum(pieces)
 
     def key(self) -> tuple:
         """Canonical hashable form (used for memo tables and equality)."""
-        items = tuple(
-            (alpha, coeff.re.numerator, coeff.re.denominator,
-             coeff.im.numerator, coeff.im.denominator)
-            for alpha, coeff in sorted(self.terms.items())
-        )
-        return (self.dimension, self.degree, items)
+        return (self.dimension, self.degree, tuple(sorted(self.terms.items())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomogeneousPolynomial):
@@ -279,8 +276,8 @@ class Polynomial:
     def part(self, degree: int) -> HomogeneousPolynomial:
         return self.parts.get(degree, HomogeneousPolynomial.zero(self.dimension, degree))
 
-    def terms(self) -> Dict[MultiIndex, RationalComplex]:
-        flat: Dict[MultiIndex, RationalComplex] = {}
+    def terms(self) -> Dict[MultiIndex, Scalar]:
+        flat: Dict[MultiIndex, Scalar] = {}
         for part in self.parts.values():
             flat.update(part.terms)
         return flat
@@ -310,7 +307,7 @@ class Polynomial:
         return Polynomial(self.dimension, {d: -p for d, p in self.parts.items()})
 
     def scaled(self, factor) -> "Polynomial":
-        factor = RationalComplex.coerce(factor)
+        factor = exact(factor)
         if not factor:
             return Polynomial.zero(self.dimension)
         return Polynomial(self.dimension, {d: p.scaled(factor) for d, p in self.parts.items()})
@@ -330,8 +327,8 @@ class Polynomial:
     def conjugate(self) -> "Polynomial":
         return Polynomial(self.dimension, {d: p.conjugate() for d, p in self.parts.items()})
 
-    def evaluate(self, point: Iterable) -> RationalComplex:
-        total = RationalComplex()
+    def evaluate(self, point: Iterable) -> Scalar:
+        total = Fraction(0)
         for part in self.parts.values():
             total = total + part.evaluate(point)
         return total
@@ -421,7 +418,7 @@ def laplacian_power(poly: Polynomial, power: int) -> Polynomial:
     return out
 
 
-def fischer_inner_product(left: Polynomial, right: Polynomial) -> RationalComplex:
+def fischer_inner_product(left: Polynomial, right: Polynomial) -> Scalar:
     """[P, Q]_F = sum over monomials of alpha! * c_alpha * conj(d_alpha)."""
     if left.dimension != right.dimension:
         raise ValueError("dimension mismatch")
@@ -431,7 +428,7 @@ def fischer_inner_product(left: Polynomial, right: Polynomial) -> RationalComple
         small, large, conj_small = right_terms, left_terms, True
     else:
         small, large, conj_small = left_terms, right_terms, False
-    total = RationalComplex()
+    total = Fraction(0)
     for alpha, coeff in small.items():
         other = large.get(alpha)
         if other is None:
@@ -458,15 +455,15 @@ def polynomial_to_json_dict(poly: Polynomial) -> dict:
         coeff = terms[alpha]
         rows.append({
             "exponents": list(alpha),
-            "re": format_fraction(coeff.re),
-            "im": format_fraction(coeff.im),
+            "re": format_fraction(coeff.real),
+            "im": format_fraction(coeff.imag),
         })
     return {"dimension": poly.dimension, "terms": rows}
 
 
 def polynomial_from_json_dict(data: Mapping) -> Polynomial:
     dimension = int(data["dimension"])
-    terms: Dict[MultiIndex, RationalComplex] = {}
+    terms: Dict[MultiIndex, Scalar] = {}
     for row in data.get("terms", []):
         alpha = tuple(int(e) for e in row["exponents"])
         coeff = RationalComplex(parse_fraction(row.get("re", "0")), parse_fraction(row.get("im", "0")))

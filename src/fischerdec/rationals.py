@@ -1,10 +1,10 @@
-"""Exact scalar arithmetic: complex numbers with rational real/imaginary parts.
+"""Exact scalars: a coefficient is a ``Fraction`` unless it is complex.
 
-All symbolic paths in this package keep coefficients in QQ(i), represented as
-a pair of ``fractions.Fraction``.  Floats appear only at the point where a
-caller explicitly asks for a numeric rendering.  A narrow pi enclosure is
-provided so that inequalities mixing exact rationals with powers of pi can be
-certified without floating point.
+``exact`` is the one coefficient rule, and ``RationalComplex`` arithmetic
+applies it to every result, so real problems never carry a zero imaginary
+part.  Both types answer ``real``, ``imag`` and ``conjugate()``, so callers
+read a coefficient the same way whatever its type.  A narrow pi enclosure
+certifies inequalities mixing exact rationals with powers of pi.
 """
 
 from __future__ import annotations
@@ -24,98 +24,102 @@ PI_HI = Fraction("3.1415926535897932384626433832795028841972")
 class RationalComplex:
     """A complex number a + b*i with exact rational a, b."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    @classmethod
-    def coerce(cls, value) -> "RationalComplex":
-        if isinstance(value, RationalComplex):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value, 0)
-        raise TypeError(f"cannot coerce {type(value).__name__} to RationalComplex")
+    def __init__(self, real: RationalLike = 0, imag: RationalLike = 0):
+        self.real = Fraction(real)
+        self.imag = Fraction(imag)
 
     def __add__(self, other):
-        other = RationalComplex.coerce(other)
-        return RationalComplex(self.re + other.re, self.im + other.im)
+        if not isinstance(other, _EXACT_TYPES):
+            return NotImplemented
+        return _from_parts(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = RationalComplex.coerce(other)
-        return RationalComplex(self.re - other.re, self.im - other.im)
+        if not isinstance(other, _EXACT_TYPES):
+            return NotImplemented
+        return _from_parts(self.real - other.real, self.imag - other.imag)
 
     def __rsub__(self, other):
-        return RationalComplex.coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        other = RationalComplex.coerce(other)
-        return RationalComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        if not isinstance(other, _EXACT_TYPES):
+            return NotImplemented
+        return _from_parts(
+            self.real * other.real - self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = RationalComplex.coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        if not isinstance(other, _EXACT_TYPES):
+            return NotImplemented
+        norm = other.real * other.real + other.imag * other.imag
         if norm == 0:
             raise ZeroDivisionError("division by zero RationalComplex")
-        return RationalComplex(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
+        return _from_parts(
+            (self.real * other.real + self.imag * other.imag) / norm,
+            (self.imag * other.real - self.real * other.imag) / norm,
         )
 
     def __rtruediv__(self, other):
-        return RationalComplex.coerce(other) / self
+        return self.conjugate() * other / (self.real * self.real + self.imag * self.imag)
 
     def __neg__(self):
-        return RationalComplex(-self.re, -self.im)
+        return RationalComplex(-self.real, -self.imag)
 
     def conjugate(self) -> "RationalComplex":
-        return RationalComplex(self.re, -self.im)
-
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def real_fraction(self) -> Fraction:
-        if self.im != 0:
-            raise ValueError(f"value {self!r} has a nonzero imaginary part")
-        return self.re
+        return RationalComplex(self.real, -self.imag)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self.real != 0 or self.imag != 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, RationalComplex):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
+        if not isinstance(other, _EXACT_TYPES):
+            return NotImplemented
+        return self.real == other.real and self.imag == other.imag
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self.imag == 0:
+            return hash(self.real)
+        return hash((self.real, self.imag))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(float(self.real), float(self.imag))
 
     def __float__(self) -> float:
-        return float(self.real_fraction())
+        if self.imag != 0:
+            raise ValueError(f"value {self!r} has a nonzero imaginary part")
+        return float(self.real)
 
     def __repr__(self):
-        if self.im == 0:
-            return f"RationalComplex({self.re})"
-        return f"RationalComplex({self.re}, {self.im})"
+        if self.imag == 0:
+            return f"RationalComplex({self.real})"
+        return f"RationalComplex({self.real}, {self.imag})"
+
+
+Scalar = Union[Fraction, RationalComplex]
+
+_EXACT_TYPES = (int, Fraction, RationalComplex)
+
+
+def _from_parts(real: Fraction, imag: Fraction) -> Scalar:
+    return RationalComplex(real, imag) if imag else real
+
+
+def exact(value) -> Scalar:
+    """The one coefficient rule: a Fraction, unless the imaginary part is nonzero."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, RationalComplex):
+        return value if value.imag else value.real
+    raise TypeError(f"{type(value).__name__} is not an exact rational or complex-rational value")
 
 
 def format_fraction(value: Fraction) -> str:

@@ -32,11 +32,7 @@ import numpy as np
 
 from . import exactla
 from .fischer import BoundViolated
-from .polynomials import (
-    HomogeneousPolynomial,
-    Polynomial,
-    monomials_of_degree,
-)
+from .polynomials import HomogeneousPolynomial, monomials_of_degree
 from .sphere import monomial_sphere_integral
 
 DEFAULT_EXACT_GRAM_LIMIT = 64
@@ -221,17 +217,12 @@ def verify_main_inequality(m_max: int, tolerance: float = 1e-12) -> List[Spectra
 # the multiplier on the sphere, so conversion to float is benign).
 # ---------------------------------------------------------------------------
 
-def _real_fraction_terms(poly: Polynomial) -> dict:
-    out = {}
-    for alpha, coeff in poly.terms().items():
-        out[alpha] = coeff.real_fraction()
-    return out
-
-
 def gram_and_form_matrices(multiplier: HomogeneousPolynomial, degree: int, dimension: int):
     """Exact matrices B_ij = <b_i, b_j> and A_ij = <P b_i, b_j> over monomials."""
     basis = monomials_of_degree(dimension, degree)
-    mult_terms = _real_fraction_terms(multiplier.to_polynomial())
+    mult_terms = multiplier.terms
+    if any(coeff.imag for coeff in mult_terms.values()):
+        raise ValueError("the multiplier must have real coefficients")
     size = len(basis)
     gram = [[Fraction(0)] * size for _ in range(size)]
     form = [[Fraction(0)] * size for _ in range(size)]

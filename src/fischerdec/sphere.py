@@ -28,7 +28,7 @@ from .polynomials import (
     Polynomial,
     squared_norm_polynomial,
 )
-from .rationals import RationalComplex, fraction_sqrt
+from .rationals import Scalar, fraction_sqrt
 
 # Deterministic sampling densities for sup-norm estimates.
 CIRCLE_SAMPLES = 4096
@@ -70,13 +70,13 @@ def monomial_sphere_integral(alpha: MultiIndex, dimension: int) -> Fraction:
 class SphereValue:
     """An exact sphere inner product: value = ratio * omega_{d-1}."""
 
-    ratio: RationalComplex
+    ratio: Scalar
     dimension: int
 
     def as_float(self) -> complex | float:
         omega = surface_area(self.dimension)
-        if self.ratio.is_real:
-            return float(self.ratio.re) * omega
+        if not self.ratio.imag:
+            return float(self.ratio) * omega
         return complex(self.ratio) * omega
 
 
@@ -84,7 +84,7 @@ def sphere_inner_product(f: Polynomial, g: Polynomial) -> SphereValue:
     """<f, g> over S^{d-1}, expanded sesquilinearly over monomial pairs."""
     if f.dimension != g.dimension:
         raise ValueError("dimension mismatch")
-    total = RationalComplex()
+    total = Fraction(0)
     g_terms = g.terms()
     for alpha, ca in f.terms().items():
         for beta, cb in g_terms.items():
@@ -103,8 +103,7 @@ def _as_polynomial(f) -> Polynomial:
 def sphere_norm_sq_ratio(f) -> Fraction:
     """<f, f> / omega_{d-1}, an exact nonnegative rational."""
     poly = _as_polynomial(f)
-    value = sphere_inner_product(poly, poly).ratio
-    return value.real_fraction()
+    return sphere_inner_product(poly, poly).ratio
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +165,7 @@ def normalized_circle_inner(
     lp = _as_polynomial(left.poly)
     if multiplier is not None:
         lp = multiplier * lp
-    ratio = sphere_inner_product(lp, _as_polynomial(right.poly)).ratio.real_fraction()
+    ratio = sphere_inner_product(lp, _as_polynomial(right.poly)).ratio
     if ratio == 0:
         return Fraction(0), 0
     # value = ratio * 2 * sqrt(w_l * w_r); weights are 1 or 1/2.

@@ -8,7 +8,6 @@ rest of the table print.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -141,7 +140,7 @@ def check_even_sharp_eigenvalue(limit: int = SHARP_EIGENVALUE_LIMIT) -> CheckRes
         for half in range(limit + 1):
             degree = 2 * half
             numeric = spectral.x2sq_min_eigenvalue(degree)
-            closed = math.sin(math.pi / (4 * half + 4)) ** 2
+            closed = spectral.x2sq_min_eigenvalue_closed(degree)
             worst = max(worst, abs(numeric - closed))
         ok = worst <= 1e-9
         return ok, f"max |numeric - sin^2(pi/(4m+4))| = {worst:.3e}"

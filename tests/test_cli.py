@@ -2,6 +2,7 @@
 
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -61,6 +62,22 @@ def test_decompose_series_data(capsys, tmp_path):
         rows = list(csv.reader(handle))
     assert rows[0] == ["M", "norm_GM", "bound_shape"]
     assert len(rows) == 10  # header + degrees 0..8
+
+
+def test_decompose_tail_csv_with_tiny_estimated_order(capsys, tmp_path, parabola_file):
+    """Alternating coefficient sizes give an order estimate near 0.009."""
+    terms = {(m, 0): 1 if m % 2 == 0 else Fraction(1, 1000) for m in range(11)}
+    data = write_json(tmp_path / "f.json",
+                      polynomial_to_json_dict(Polynomial.from_terms(2, terms)))
+    tail = tmp_path / "tail.csv"
+    code = main(["decompose", "--problem", parabola_file, "--data", data,
+                 "--tail-csv", str(tail)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0 and len(lines) == 1
+    assert json.loads(lines[0])["ok"] is True
+    with open(tail) as handle:
+        rows = list(csv.reader(handle))
+    assert len(rows) == 12  # header + degrees 0..10
 
 
 def test_decompose_explicit_problem_file(capsys, tmp_path, x1sq_file):

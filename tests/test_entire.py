@@ -199,6 +199,17 @@ def test_tail_report_shape():
     assert all(row.bound_shape is None or row.bound_shape >= 0 for row in result.tail)
 
 
+def test_tail_report_survives_a_tiny_order():
+    """(M+2k)^((M+2k)/rho) overflows a float for tiny rho; the shape is then 0.0."""
+    problem = to_fischer_problem(DomainSpec.parabola(1))
+    data = Polynomial.from_terms(2, {(10, 0): 1, (0, 1): 1})
+    result = decompose_entire(problem, EntireSeries.from_polynomial(data, 10), order_hint=0.01)
+    assert len(result.tail) == 11
+    assert result.exact
+    shapes = [row.bound_shape for row in result.tail if row.bound_shape is not None]
+    assert shapes and shapes[-1] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Order of the decomposition pieces
 # ---------------------------------------------------------------------------

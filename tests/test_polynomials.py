@@ -125,7 +125,7 @@ def test_derivative_against_sympy(exponents):
     expected = sympy.expand(sympy.diff(expr, x1, 1, x2, 2))
     ours = apply_operator(poly({(1, 2): 1}), poly({exponents: 1}))
     rebuilt = sum(
-        sympy.Rational(c.re.numerator, c.re.denominator) * x1 ** e[0] * x2 ** e[1]
+        sympy.Rational(c.numerator, c.denominator) * x1 ** e[0] * x2 ** e[1]
         for e, c in ours.terms().items()
     )
     assert sympy.simplify(rebuilt - expected) == 0
@@ -183,7 +183,7 @@ def test_positive_definite_on_nonzero():
     rng = random.Random(SEED + 1)
     f = _random_poly(rng, 5)
     value = fischer_inner_product(f, f)
-    assert value.is_real and value.re > 0
+    assert value.imag == 0 and value.real > 0
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +196,27 @@ def test_json_round_trip_is_byte_identical():
     again = polynomial_to_json(polynomial_from_json(text))
     assert text == again
     assert polynomial_from_json(text) == f
+
+
+_RATIONALS = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.dictionaries(
+    st.tuples(*[st.integers(0, 4)] * d),
+    st.tuples(_RATIONALS, _RATIONALS | st.just(Fraction(0))),
+    max_size=8,
+)))
+def test_json_round_trip_complex_rational_property(raw_terms):
+    dimension = len(next(iter(raw_terms), (0,)))
+    f = Polynomial.from_terms(
+        dimension, {alpha: RationalComplex(re, im) for alpha, (re, im) in raw_terms.items()})
+    text = polynomial_to_json(f)
+    again = polynomial_from_json(text)
+    assert polynomial_to_json(again) == text
+    assert again == f
+    for coeff in again.terms().values():
+        assert isinstance(coeff, RationalComplex) == (coeff.imag != 0)
 
 
 def test_json_terms_graded_lex_sorted():
@@ -221,4 +242,4 @@ def test_duplicate_monomial_rejected():
 def test_evaluate_float_matches_exact():
     f = poly({(3, 1): Fraction(1, 3), (0, 2): -2, (0, 0): 5})
     exact = f.evaluate([Fraction(1, 2), Fraction(3, 4)])
-    assert math.isclose(f.evaluate_float([0.5, 0.75]), float(exact.re), rel_tol=1e-14)
+    assert math.isclose(f.evaluate_float([0.5, 0.75]), float(exact.real), rel_tol=1e-14)
