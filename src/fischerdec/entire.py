@@ -267,6 +267,7 @@ def order_estimate(series: EntireSeries, *, use_certified_bound: bool = False,
         order = (t0 * s11 - t1 * s01) / det if det else clean[-1][1]
     else:
         order = clean[-1][1]
+    order = max(0.0, order)  # the fit can dip below 0; an order of growth cannot
 
     type_estimate = None
     if 0.0 < order < math.inf:

@@ -11,6 +11,9 @@ Differential operators act exactly: for a polynomial Q, ``apply_operator``
 realises Q(D) by replacing each variable with the matching partial
 derivative.  No conjugation ever happens implicitly; callers that need the
 adjoint pass ``conjugate(Q)`` themselves.
+
+Float evaluation has one path, ``evaluate_on_points``, vectorised over an
+array of real points.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import json
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
+
+import numpy as np
 
 from .rationals import RationalComplex, Scalar, exact, format_fraction, parse_fraction
 
@@ -181,18 +186,6 @@ class HomogeneousPolynomial:
             total = total + term
         return total
 
-    def evaluate_float(self, point) -> float:
-        """Float evaluation at a real point, fsum-compensated across terms."""
-        pieces = []
-        for alpha, coeff in self.terms.items():
-            value = float(coeff.real)
-            for v, e in zip(point, alpha):
-                value *= v**e
-            pieces.append(value)
-            if coeff.imag:
-                raise ValueError("float evaluation expects real coefficients")
-        return math.fsum(pieces)
-
     def key(self) -> tuple:
         """Canonical hashable form (used for memo tables and equality)."""
         return (self.dimension, self.degree, tuple(sorted(self.terms.items())))
@@ -333,11 +326,6 @@ class Polynomial:
             total = total + part.evaluate(point)
         return total
 
-    def evaluate_float(self, point) -> float:
-        # Sum graded parts in increasing degree so cancellation between large
-        # high-degree contributions is compensated.
-        return math.fsum(self.parts[d].evaluate_float(point) for d in sorted(self.parts))
-
     def key(self) -> tuple:
         return (self.dimension, tuple(self.parts[d].key() for d in sorted(self.parts)))
 
@@ -438,6 +426,24 @@ def fischer_inner_product(left: Polynomial, right: Polynomial) -> Scalar:
         else:
             prod = coeff * other.conjugate()
         total = total + prod * multi_index_factorial(alpha)
+    return total
+
+
+def evaluate_on_points(poly: Polynomial, points: np.ndarray) -> np.ndarray:
+    """Float values of poly at each row of an (n, d) array of real points.
+
+    The result has float dtype unless a coefficient has a nonzero imaginary
+    part; only then is it complex.
+    """
+    terms = poly.terms()
+    dtype = complex if any(coeff.imag for coeff in terms.values()) else float
+    total = np.zeros(len(points), dtype=dtype)
+    for alpha, coeff in terms.items():
+        mono = np.ones(len(points))
+        for axis, exponent in enumerate(alpha):
+            if exponent:
+                mono = mono * points[:, axis] ** exponent
+        total = total + dtype(coeff) * mono
     return total
 
 

@@ -26,6 +26,7 @@ from .polynomials import (
     HomogeneousPolynomial,
     MultiIndex,
     Polynomial,
+    evaluate_on_points,
     squared_norm_polynomial,
 )
 from .rationals import Scalar, fraction_sqrt
@@ -259,19 +260,6 @@ def _sphere_sample_points(dimension: int, count: int) -> np.ndarray:
     return points / np.linalg.norm(points, axis=1, keepdims=True)
 
 
-def evaluate_on_points(f, points: np.ndarray) -> np.ndarray:
-    """Vectorised |f| over an array of points (complex coefficients allowed)."""
-    poly = _as_polynomial(f)
-    total = np.zeros(len(points), dtype=complex)
-    for alpha, coeff in poly.terms().items():
-        mono = np.ones(len(points))
-        for axis, exponent in enumerate(alpha):
-            if exponent:
-                mono = mono * points[:, axis] ** exponent
-        total = total + complex(coeff) * mono
-    return np.abs(total)
-
-
 def sup_norm_estimate(f: HomogeneousPolynomial, samples: int | None = None) -> SupNormEstimate:
     """Sampled sup-norm estimate and the certified upper bound for f_m."""
     if f.is_zero:
@@ -279,7 +267,7 @@ def sup_norm_estimate(f: HomogeneousPolynomial, samples: int | None = None) -> S
     if samples is None:
         samples = CIRCLE_SAMPLES if f.dimension == 2 else SPHERE_SAMPLES
     points = _sphere_sample_points(f.dimension, samples)
-    estimate = float(np.max(evaluate_on_points(f, points)))
+    estimate = float(np.max(np.abs(evaluate_on_points(f.to_polynomial(), points))))
     return SupNormEstimate(estimate, certified_sup_norm_bound(f), samples)
 
 

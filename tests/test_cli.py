@@ -109,6 +109,8 @@ def test_dirichlet_request(capsys, tmp_path, x1sq_file):
         rows = list(csv.reader(handle))
     assert rows[0] == ["parameter", "f", "h", "residual"]
     assert len(rows) > 1
+    # the CSV and the envelope come from one evaluation
+    assert max(float(r[3]) for r in rows[1:]) == envelope["result"]["boundary_residual"]["max_residual"]
 
 
 def _exp_x1_series(dimension, truncation, imaginary_degree=None):
@@ -160,6 +162,17 @@ def test_order_subcommand(capsys, tmp_path):
     code, envelope = run(capsys, ["order", "--data", series])
     assert code == 0
     assert abs(envelope["order"] - 1.0) <= 0.05
+
+
+def test_order_subcommand_never_negative(capsys, tmp_path):
+    data = Polynomial.from_terms(2, {
+        (0, 0): Fraction(-7, 9), (2, 3): Fraction(7, 4), (3, 1): Fraction(1, 4),
+        (3, 5): Fraction(-9, 8), (4, 2): -6, (5, 2): -3,
+    })
+    path = write_json(tmp_path / "f.json", polynomial_to_json_dict(data))
+    code, envelope = run(capsys, ["order", "--data", path])
+    assert code == 0
+    assert envelope["order"] == 0.0 and envelope["type"] is None
 
 
 def test_chebyshev_check(capsys):

@@ -5,6 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fischerdec.dirichlet import (
@@ -17,7 +18,7 @@ from fischerdec.dirichlet import (
     witness_to_json_dict,
 )
 from fischerdec.entire import OrderGateWarning, exp_axis_series, order_of_decomposition
-from fischerdec.polynomials import Polynomial, laplacian
+from fischerdec.polynomials import Polynomial, evaluate_on_points, laplacian
 
 
 X1SQ = Polynomial.from_terms(2, {(2, 0): 1})
@@ -79,8 +80,19 @@ def test_boundary_points_lie_on_zero_set():
     ):
         defining = to_fischer_problem(spec).assembled()
         points, _, _ = boundary_points(spec)
-        worst = max(abs(defining.evaluate_float(row)) for row in points)
+        worst = np.max(np.abs(evaluate_on_points(defining, points)))
         assert worst <= 1e-10
+
+
+def test_cylinder_boundary_points_order():
+    """Heights outer, angles inner; the parameter is the angle."""
+    points, params, _ = boundary_points(DomainSpec.cylinder([1, 2], 3))
+    angles = [2.0 * math.pi * j / 64 for j in range(64)]
+    heights = [-4.0 + 8.0 * i / 15 for i in range(16)]
+    expected = [[math.cos(t), 2.0 * math.sin(t), z] for z in heights for t in angles]
+    assert points.shape == (1024, 3)
+    assert np.allclose(points, expected, rtol=0, atol=1e-14)
+    assert np.allclose(params, angles * 16, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +116,9 @@ def test_parabola_hand_checked_solution():
     assert solution.residual_report.max_residual <= 1e-10
     # on the locus x1 = t^2: h(t^2, t) = t^4 - t^2 + t^2 = t^4 = f(t^2, t)
     h = solution.harmonic_extension.to_polynomial()
-    for t in (-2.0, -0.5, 0.0, 1.0, 3.0):
-        assert math.isclose(h.evaluate_float([t * t, t]), t**4, rel_tol=0, abs_tol=1e-9)
+    t = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
+    assert np.allclose(evaluate_on_points(h, np.stack([t * t, t], axis=1)), t**4,
+                       rtol=0, atol=1e-9)
 
 
 def test_polynomial_data_residual_noise_only():

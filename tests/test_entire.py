@@ -99,6 +99,19 @@ def test_polynomial_series_has_zero_order():
     assert estimate.all_zero_tail
 
 
+# A degree-8 polynomial whose linear fit in 1/m lands at -0.71 before clamping.
+NEGATIVE_FIT_DATA = Polynomial.from_terms(2, {
+    (0, 0): Fraction(-7, 9), (2, 3): Fraction(7, 4), (3, 1): Fraction(1, 4),
+    (3, 5): Fraction(-9, 8), (4, 2): -6, (5, 2): -3,
+})
+
+
+def test_order_estimate_never_negative():
+    estimate = order_estimate(EntireSeries.from_polynomial(NEGATIVE_FIT_DATA, 8))
+    assert estimate.order == 0.0
+    assert estimate.type is None
+
+
 def test_order_estimate_requires_depth():
     with pytest.raises(ValueError):
         order_estimate(EntireSeries.from_polynomial(Polynomial.constant(2, 1), 4))

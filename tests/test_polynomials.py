@@ -1,10 +1,12 @@
 """Exact polynomial algebra: grading, operators, and the Fischer pairing."""
 
+import cmath
 import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from fischerdec.polynomials import (
     HomogeneousPolynomial,
     Polynomial,
     apply_operator,
+    evaluate_on_points,
     fischer_inner_product,
     laplacian,
     laplacian_power,
@@ -240,6 +243,19 @@ def test_duplicate_monomial_rejected():
 
 
 def test_evaluate_float_matches_exact():
-    f = poly({(3, 1): Fraction(1, 3), (0, 2): -2, (0, 0): 5})
-    exact = f.evaluate([Fraction(1, 2), Fraction(3, 4)])
-    assert math.isclose(f.evaluate_float([0.5, 0.75]), float(exact.real), rel_tol=1e-14)
+    """evaluate_on_points against exact evaluation at dyadic (float-exact) points."""
+    plane = [(Fraction(1, 2), Fraction(3, 4)), (Fraction(-5, 4), Fraction(3, 8)),
+             (Fraction(7, 16), Fraction(-9, 8))]
+    space = [(Fraction(1, 2), Fraction(3, 4), Fraction(-1, 4)),
+             (Fraction(-5, 4), Fraction(3, 8), Fraction(13, 16))]
+    real_2d = poly({(3, 1): Fraction(1, 3), (0, 2): -2, (0, 0): 5})
+    real_3d = poly({(2, 1, 1): Fraction(-2, 7), (0, 0, 3): 4, (1, 0, 0): Fraction(5, 3),
+                    (0, 0, 0): 3}, dimension=3)
+    complex_2d = poly({(2, 0): RationalComplex(Fraction(1, 2), Fraction(-3)),
+                       (1, 1): Fraction(2, 5), (0, 0): RationalComplex(1, 1)})
+    for f, points, dtype in ((real_2d, plane, np.float64), (real_3d, space, np.float64),
+                             (complex_2d, plane, np.complex128)):
+        values = evaluate_on_points(f, np.array(points, dtype=float))
+        assert values.dtype == dtype
+        for value, point in zip(values, points):
+            assert cmath.isclose(value, complex(f.evaluate(point)), rel_tol=1e-14)

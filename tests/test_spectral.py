@@ -160,11 +160,9 @@ def test_odd_degree_lemma_transfer():
 
 
 def test_bound_violated_raised_for_impossible_tolerance():
+    # margins are ~1e-6 at m = 200, so demanding a positive margin of 1e-3 fails
     with pytest.raises(BoundViolated):
-        # margins are ~1e-6 at m = 200, so demanding a huge positive margin fails
-        for report in verify_main_inequality(200):
-            if report.margin < 1e-3:
-                raise BoundViolated("forced")
+        verify_main_inequality(200, tolerance=-1e-3)
 
 
 def test_sine_bound_small_and_large():
