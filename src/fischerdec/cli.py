@@ -62,6 +62,10 @@ def _emit(envelope: dict, output: Optional[str]) -> None:
 def _cmd_decompose(args) -> int:
     problem = _load_problem(args.problem)
     data = _load_data(args.data)
+    if data.dimension != problem.dimension:
+        raise InputError(
+            f"data dimension {data.dimension} does not match problem dimension {problem.dimension}"
+        )
     if isinstance(data, Polynomial) and not args.tail_csv:
         result = fischer.decompose_recursive(problem, data)
         payload = result.to_json_dict()
@@ -101,6 +105,8 @@ def _cmd_dirichlet(args) -> int:
 
 
 def _cmd_bound_scan(args) -> int:
+    if args.m_max < 0:
+        raise InputError(f"--m-max must be nonnegative, got {args.m_max}")
     # verify_main_inequality raises BoundViolated (exit 1) on any failed degree.
     reports = spectral.verify_main_inequality(args.m_max)
     if args.output:
@@ -117,9 +123,16 @@ def _cmd_bound_scan(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise InputError(f"--samples must be positive, got {args.samples}")
     data = _load_data(args.data)
     if isinstance(data, Polynomial):
         data = entire.EntireSeries.from_polynomial(data, max(args.min_truncation, data.degree or 0))
+    if data.truncation < entire.ORDER_MIN_TRUNCATION:
+        raise InputError(
+            f"order estimation needs truncation at least {entire.ORDER_MIN_TRUNCATION}, "
+            f"got {data.truncation}"
+        )
     estimate = entire.order_estimate(
         data, use_certified_bound=args.certified, samples=args.samples
     )
@@ -200,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certified", action="store_true",
                    help="use certified sup-norm bounds instead of sampling")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--min-truncation", type=int, default=8)
+    p.add_argument("--min-truncation", type=int, default=entire.ORDER_MIN_TRUNCATION)
     p.add_argument("--output", help="write the estimate JSON here as well")
     p.set_defaults(func=_cmd_order)
 

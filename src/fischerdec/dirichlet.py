@@ -156,22 +156,22 @@ def to_fischer_problem(spec: DomainSpec) -> FischerProblem:
     raise ValueError(f"unknown domain kind {spec.kind!r}")
 
 
-def boundary_points(spec: DomainSpec, window: float = BOUNDARY_WINDOW) -> Tuple[np.ndarray, np.ndarray, str]:
+def boundary_points(spec: DomainSpec) -> Tuple[np.ndarray, np.ndarray, str]:
     """Sampled boundary points and their parameters, with a description."""
     if spec.kind == "parabola":
-        t = np.linspace(-window, window, PARABOLA_SAMPLES)
+        t = np.linspace(-BOUNDARY_WINDOW, BOUNDARY_WINDOW, PARABOLA_SAMPLES)
         a = float(spec.parameter)
         points = np.stack([t * t / a, t], axis=1)
-        return points, t, f"parabola arc x1 = t^2/a, |t| <= {window}, {PARABOLA_SAMPLES} samples"
+        return points, t, f"parabola arc x1 = t^2/a, |t| <= {BOUNDARY_WINDOW}, {PARABOLA_SAMPLES} samples"
     if spec.kind == "strip":
-        t = np.linspace(-window, window, STRIP_SAMPLES_PER_LINE)
+        t = np.linspace(-BOUNDARY_WINDOW, BOUNDARY_WINDOW, STRIP_SAMPLES_PER_LINE)
         a = float(spec.parameter)
         left = np.stack([np.full_like(t, -a), t], axis=1)
         right = np.stack([np.full_like(t, a), t], axis=1)
         return (
             np.concatenate([left, right]),
             np.concatenate([t, t]),
-            f"strip lines x1 = +-a, |x2| <= {window}, {2 * STRIP_SAMPLES_PER_LINE} samples",
+            f"strip lines x1 = +-a, |x2| <= {BOUNDARY_WINDOW}, {2 * STRIP_SAMPLES_PER_LINE} samples",
         )
     if spec.kind == "ellipsoid":
         if spec.dimension == 2:
@@ -190,7 +190,7 @@ def boundary_points(spec: DomainSpec, window: float = BOUNDARY_WINDOW) -> Tuple[
         if spec.dimension != 3:
             raise ValueError("cylinder boundary sampling is implemented for dimension 3")
         angles = np.linspace(0.0, 2.0 * math.pi, CYLINDER_ANGLES, endpoint=False)
-        heights = np.linspace(-window, window, CYLINDER_HEIGHTS)
+        heights = np.linspace(-BOUNDARY_WINDOW, BOUNDARY_WINDOW, CYLINDER_HEIGHTS)
         t = np.tile(angles, CYLINDER_HEIGHTS)  # heights outer, angles inner
         z = np.repeat(heights, CYLINDER_ANGLES)
         points = np.stack(
@@ -213,7 +213,6 @@ class BoundaryResidualReport:
 @dataclass(frozen=True)
 class DirichletSolution:
     domain: DomainSpec
-    problem: FischerProblem
     decomposition: EntireDecomposition
     residual_report: BoundaryResidualReport
 
@@ -270,53 +269,39 @@ def boundary_series(spec: DomainSpec, data, truncation: Optional[int] = None) ->
 
 
 def _boundary_table(
-    spec: DomainSpec, data_poly: Polynomial, harmonic_poly: Polynomial, window: float
+    spec: DomainSpec, data_poly: Polynomial, harmonic_poly: Polynomial
 ) -> Tuple[np.ndarray, str]:
     """Columns parameter, f, h, |f - h| over boundary_points, and their description."""
-    points, params, description = boundary_points(spec, window)
+    points, params, description = boundary_points(spec)
     f_values = evaluate_on_points(data_poly, points)
     h_values = evaluate_on_points(harmonic_poly, points)
     return np.column_stack([params, f_values, h_values, np.abs(f_values - h_values)]), description
 
 
 def boundary_residual(
-    spec: DomainSpec,
-    data_poly: Polynomial,
-    harmonic_poly: Polynomial,
-    truncation: int,
-    window: float = BOUNDARY_WINDOW,
+    spec: DomainSpec, data_poly: Polynomial, harmonic_poly: Polynomial, truncation: int
 ) -> BoundaryResidualReport:
-    table, description = _boundary_table(spec, data_poly, harmonic_poly, window)
+    table, description = _boundary_table(spec, data_poly, harmonic_poly)
     return BoundaryResidualReport(description, float(table[:, 3].max()), len(table), truncation)
 
 
-def solve(
-    spec: DomainSpec,
-    data,
-    truncation: Optional[int] = None,
-    window: float = BOUNDARY_WINDOW,
-) -> DirichletSolution:
+def solve(spec: DomainSpec, data, truncation: Optional[int] = None) -> DirichletSolution:
     """Harmonic extension of boundary data by exact series decomposition."""
     problem = to_fischer_problem(spec)
     series = boundary_series(spec, data, truncation)
     decomposition = decompose_entire(problem, series)
     report = boundary_residual(
-        spec,
-        series.to_polynomial(),
-        decomposition.remainder.to_polynomial(),
-        series.truncation,
-        window,
+        spec, series.to_polynomial(), decomposition.remainder.to_polynomial(), series.truncation
     )
-    return DirichletSolution(spec, problem, decomposition, report)
+    return DirichletSolution(spec, decomposition, report)
 
 
-def boundary_samples_csv(solution: DirichletSolution, path: str, window: float = BOUNDARY_WINDOW) -> None:
+def boundary_samples_csv(solution: DirichletSolution, path: str) -> None:
     """CSV of (parameter, f value, h value, |f - h|) over boundary samples."""
     table, _ = _boundary_table(
         solution.domain,
         solution.decomposition.data.to_polynomial(),
         solution.harmonic_extension.to_polynomial(),
-        window,
     )
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -36,7 +36,15 @@ from .polynomials import (
     polynomial_from_json_dict,
     polynomial_to_json_dict,
 )
-from .sphere import certified_sup_norm_bound, sup_norm_estimate
+from .sphere import (
+    certified_sup_norm_bound,
+    sphere_norm_sq_ratio,
+    sup_norm_estimate,
+    surface_area,
+)
+
+# The smallest truncation order_estimate accepts.
+ORDER_MIN_TRUNCATION = 8
 
 
 class OrderGateWarning(UserWarning):
@@ -207,15 +215,15 @@ def _sup_norm_map(series: EntireSeries, use_certified_bound: bool,
         if use_certified_bound:
             norms[m] = certified_sup_norm_bound(part)
         else:
-            norms[m] = sup_norm_estimate(part, samples).estimate
+            norms[m] = sup_norm_estimate(part, samples)
     return norms
 
 
 def order_estimate(series: EntireSeries, *, use_certified_bound: bool = False,
                    samples: Optional[int] = None) -> OrderTypeEstimate:
     """Estimate order and (when meaningful) type from per-degree sup norms."""
-    if series.truncation < 8:
-        raise ValueError("order estimation needs truncation at least 8")
+    if series.truncation < ORDER_MIN_TRUNCATION:
+        raise ValueError(f"order estimation needs truncation at least {ORDER_MIN_TRUNCATION}")
     norms = _sup_norm_map(series, use_certified_bound, samples)
     window = (series.truncation // 2, series.truncation)
 
@@ -297,7 +305,8 @@ class EntireDecomposition:
     """q and h with data = P*q + h, exact degree-by-degree up to the truncation.
 
     ``polynomial`` is the same split of the truncated data as polynomials,
-    and carries the certificate.
+    and carries the certificate.  ``order`` is the estimated growth order the
+    gate used (None when it was not estimated).
     """
 
     problem: FischerProblem
@@ -305,7 +314,7 @@ class EntireDecomposition:
     quotient: EntireSeries
     remainder: EntireSeries
     polynomial: DecompositionResult
-    tail: Tuple[TailRow, ...]
+    order: Optional[float]
     warnings: Tuple[str, ...]
 
     @property
@@ -321,19 +330,10 @@ class EntireDecomposition:
         }
 
 
-def _regrade(poly: Polynomial, dimension: int, truncation: int) -> EntireSeries:
-    parts = poly.graded_parts()
-    top = max(parts) if parts else 0
-    if top > truncation:
-        raise ValueError("polynomial degree exceeds target truncation")
-    return EntireSeries.from_parts(dimension, truncation, parts)
-
-
 def decompose_entire(
     problem: FischerProblem,
     series: EntireSeries,
     *,
-    order_hint: Optional[float] = None,
     estimate_order: bool = True,
 ) -> EntireDecomposition:
     """Decompose a truncated expansion: q = sum of T_P(f_m), h = f - P q.
@@ -347,8 +347,8 @@ def decompose_entire(
     if series.dimension != problem.dimension:
         raise ValueError("dimension mismatch")
     notes: List[str] = []
-    rho = order_hint
-    if rho is None and estimate_order and series.truncation >= 8 and series.nonzero_degrees():
+    rho = None
+    if estimate_order and series.truncation >= ORDER_MIN_TRUNCATION and series.nonzero_degrees():
         rho = order_estimate(series).order
     gate = problem.order_gate
     if gate is not None and math.isfinite(gate):
@@ -361,34 +361,28 @@ def decompose_entire(
             notes.append(message)
 
     result = decompose_recursive(problem, series.to_polynomial())
-    quotient_series = _regrade(result.quotient, problem.dimension, series.truncation)
-    remainder_series = _regrade(result.remainder, problem.dimension, series.truncation)
-
-    tail = _tail_report(quotient_series, problem, rho)
     return EntireDecomposition(
-        problem, series, quotient_series, remainder_series,
-        result, tail, tuple(notes),
+        problem, series,
+        EntireSeries.from_polynomial(result.quotient, series.truncation),
+        EntireSeries.from_polynomial(result.remainder, series.truncation),
+        result, rho, tuple(notes),
     )
 
 
-def _tail_report(quotient: EntireSeries, problem: FischerProblem,
-                 order_hint: Optional[float]) -> Tuple[TailRow, ...]:
+def tail_report(quotient: EntireSeries, problem: FischerProblem,
+                order: Optional[float]) -> Tuple[TailRow, ...]:
     """Per-degree quotient norms against the expected decay shape.
 
     The shape (M+1)^{(d-1)/2} / (M+2k)^{(M+2k)/rho} mirrors the bound that
     drives the convergence estimate; it is normalised to the first nonzero
-    quotient norm and is diagnostic only.
+    quotient norm and is diagnostic only, and None unless 0 < order < inf.
     """
-    from .sphere import sphere_norm_sq_ratio, surface_area
-
     rows: List[TailRow] = []
     omega = surface_area(quotient.dimension)
     norms = {}
     for m in quotient.nonzero_degrees():
         norms[m] = math.sqrt(float(sphere_norm_sq_ratio(quotient.parts[m])) * omega)
-    rho = order_hint
-    if rho is None or not (0.0 < rho < math.inf):
-        rho = None
+    rho = order if order is not None and 0.0 < order < math.inf else None
     scale = None
     for m in range(quotient.truncation + 1):
         norm = norms.get(m, 0.0)
@@ -413,7 +407,7 @@ def tail_report_csv(decomposition: EntireDecomposition, path: str) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["M", "norm_GM", "bound_shape"])
-        for row in decomposition.tail:
+        for row in tail_report(decomposition.quotient, decomposition.problem, decomposition.order):
             writer.writerow([
                 row.degree,
                 repr(row.quotient_norm),
@@ -438,14 +432,6 @@ class DecompositionOrderComparison:
     def remainder_order_ok(self) -> bool:
         return self.remainder.order <= self.data.order + self.tolerance
 
-    def type_ok(self, tolerance: Optional[float] = None) -> bool:
-        tol = self.tolerance if tolerance is None else tolerance
-        if self.quotient.type is None or self.data.type is None:
-            return True
-        if abs(self.quotient.order - self.data.order) > self.tolerance:
-            return True
-        return self.quotient.type <= self.data.type + tol
-
 
 def order_of_decomposition(
     data: EntireSeries,
@@ -455,7 +441,7 @@ def order_of_decomposition(
 ) -> DecompositionOrderComparison:
     """Compare growth estimates of q and h against the data (diagnostic)."""
     def safe_estimate(series: EntireSeries) -> OrderTypeEstimate:
-        if series.truncation < 8 or not series.nonzero_degrees():
+        if series.truncation < ORDER_MIN_TRUNCATION or not series.nonzero_degrees():
             return OrderTypeEstimate(0.0, None, {}, {}, (), (0, series.truncation), True)
         return order_estimate(series)
 
@@ -476,7 +462,7 @@ def small_type_criterion(problem: FischerProblem, rho: float, tau: float) -> Opt
     exponent = (2 * problem.k - problem.beta) / rho
     d_total = 0.0
     for part in problem.lower.values():
-        d_total += sup_norm_estimate(part).estimate
+        d_total += sup_norm_estimate(part)
     value = (
         (2 * problem.k) ** exponent
         / (2 * problem.k - problem.beta) ** exponent

@@ -240,22 +240,24 @@ def quotient_polynomial(
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """An exact decomposition f = P*q + h with Lap^k h = 0, plus its certificate."""
+    """A decomposition f = P*q + h and its certificate Lap^k h, zero when exact.
+
+    h is computed as f - P*q, so f = P*q + h holds by construction; the
+    certificate is the one check that a wrong quotient makes fail.
+    """
 
     problem: FischerProblem
     data: Polynomial
     quotient: Polynomial
     remainder: Polynomial
-    residual: Polynomial
     laplacian_residual: Polynomial
 
     @property
     def exact(self) -> bool:
-        return self.residual.is_zero and self.laplacian_residual.is_zero
+        return self.laplacian_residual.is_zero
 
     def certificate_json_dict(self) -> dict:
         return {
-            "residual": polynomial_to_json_dict(self.residual),
             "polyharmonic_residual": polynomial_to_json_dict(self.laplacian_residual),
             "exact": self.exact,
         }
@@ -276,11 +278,9 @@ def decompose_recursive(problem: FischerProblem, data: Polynomial) -> Decomposit
     quotient = Polynomial.zero(problem.dimension)
     for degree in sorted(data.parts, reverse=True):
         quotient = quotient + quotient_polynomial(problem, data.parts[degree], memo)
-    product = problem.assembled() * quotient
-    remainder = data - product
-    residual = data - product - remainder
+    remainder = data - problem.assembled() * quotient
     lap_residual = laplacian_power(remainder, problem.k) if not remainder.is_zero else Polynomial.zero(problem.dimension)
-    return DecompositionResult(problem, data, quotient, remainder, residual, lap_residual)
+    return DecompositionResult(problem, data, quotient, remainder, lap_residual)
 
 
 def decompose_series_formula(
@@ -336,7 +336,6 @@ class NormBoundRecord:
     samples: int
     worst_ratio: float
     bound: float
-    certified: bool
 
 
 def verify_quotient_norm_bound(
@@ -371,4 +370,4 @@ def verify_quotient_norm_bound(
         if norm_sq_f:
             worst = max(worst, math.sqrt(float(norm_sq_q / norm_sq_f)))
     bound = math.sqrt(float(coeff) * math.pi**pi_exp)
-    return NormBoundRecord(degree, len(samples), worst, bound, True)
+    return NormBoundRecord(degree, len(samples), worst, bound)

@@ -241,10 +241,7 @@ def gram_and_form_matrices(multiplier: HomogeneousPolynomial, degree: int, dimen
 
 
 def min_quadratic_form_eigenvalue(
-    multiplier: HomogeneousPolynomial,
-    degree: int,
-    dimension: int,
-    exact_limit: int = DEFAULT_EXACT_GRAM_LIMIT,
+    multiplier: HomogeneousPolynomial, degree: int, dimension: int
 ) -> SpectralReport:
     """Minimal generalized eigenvalue of (<P b_i, b_j>, <b_i, b_j>), exactly reduced.
 
@@ -253,9 +250,9 @@ def min_quadratic_form_eigenvalue(
     the same L, and only the final symmetric eigensolve runs in floats.
     """
     basis_size = len(monomials_of_degree(dimension, degree))
-    if basis_size > exact_limit:
+    if basis_size > DEFAULT_EXACT_GRAM_LIMIT:
         raise ValueError(
-            f"basis size {basis_size} exceeds the exact reduction limit {exact_limit}"
+            f"basis size {basis_size} exceeds the exact reduction limit {DEFAULT_EXACT_GRAM_LIMIT}"
         )
     form, gram = gram_and_form_matrices(multiplier, degree, dimension)
     try:

@@ -236,13 +236,6 @@ def gauss_decompose(f: HomogeneousPolynomial) -> AlmansiDecomposition:
 # whose square is the exact rational 2 * (1+m)^{d-1} * <f,f>/omega.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SupNormEstimate:
-    estimate: float
-    bound: float
-    samples: int
-
-
 def _sphere_sample_points(dimension: int, count: int) -> np.ndarray:
     if dimension == 2:
         angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
@@ -260,15 +253,14 @@ def _sphere_sample_points(dimension: int, count: int) -> np.ndarray:
     return points / np.linalg.norm(points, axis=1, keepdims=True)
 
 
-def sup_norm_estimate(f: HomogeneousPolynomial, samples: int | None = None) -> SupNormEstimate:
-    """Sampled sup-norm estimate and the certified upper bound for f_m."""
+def sup_norm_estimate(f: HomogeneousPolynomial, samples: int | None = None) -> float:
+    """Sampled estimate of max |f_m| over the deterministic sphere sample points."""
     if f.is_zero:
-        return SupNormEstimate(0.0, 0.0, 0)
+        return 0.0
     if samples is None:
         samples = CIRCLE_SAMPLES if f.dimension == 2 else SPHERE_SAMPLES
     points = _sphere_sample_points(f.dimension, samples)
-    estimate = float(np.max(np.abs(evaluate_on_points(f.to_polynomial(), points))))
-    return SupNormEstimate(estimate, certified_sup_norm_bound(f), samples)
+    return float(np.max(np.abs(evaluate_on_points(f.to_polynomial(), points))))
 
 
 def certified_sup_norm_bound(f: HomogeneousPolynomial) -> float:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fischerdec import fischer
 from fischerdec.cli import main
 from fischerdec.entire import strip_harmonic_series
 from fischerdec.polynomials import Polynomial, polynomial_to_json_dict
@@ -142,6 +143,62 @@ def test_invalid_dirichlet_request_exit_code(capsys, tmp_path, data, truncation)
     envelope = json.loads(lines[0])
     assert envelope["command"] == "dirichlet" and envelope["ok"] is False
     assert envelope["error"].startswith("invalid request")
+
+
+def _x1_power_file(tmp_path, dimension, degree):
+    poly = Polynomial.from_terms(dimension, {(degree,) + (0,) * (dimension - 1): 1})
+    return write_json(tmp_path / "f.json", polynomial_to_json_dict(poly))
+
+
+def _series_file(tmp_path, truncation):
+    return write_json(tmp_path / "series.json", _exp_x1_series(2, truncation))
+
+
+@pytest.mark.parametrize("command, make_argv", [
+    ("order", lambda tmp: ["order", "--data", _series_file(tmp, 6)]),
+    ("order", lambda tmp: ["order", "--data", _x1_power_file(tmp, 2, 4),
+                           "--min-truncation", "3"]),
+    ("order", lambda tmp: ["order", "--data", _series_file(tmp, 12), "--samples", "0"]),
+    ("order", lambda tmp: ["order", "--data", _series_file(tmp, 12), "--samples", "-5"]),
+    ("decompose", lambda tmp: [
+        "decompose", "--problem", write_json(tmp / "p.json", {"kind": "parabola", "a": "1"}),
+        "--data", _x1_power_file(tmp, 3, 2)]),
+    ("bound-scan", lambda tmp: ["bound-scan", "--m-max", "-1"]),
+], ids=["order-series-truncation", "order-min-truncation", "order-zero-samples",
+        "order-negative-samples", "decompose-dimension", "bound-scan-negative-m-max"])
+def test_invalid_input_exit_code(capsys, tmp_path, command, make_argv):
+    code = main(make_argv(tmp_path))
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1
+    envelope = json.loads(lines[0])
+    assert envelope["command"] == command and envelope["ok"] is False
+    assert envelope["error"]
+
+
+def test_decompose_wrong_quotient_fails_the_certificate(capsys, monkeypatch, parabola_file,
+                                                        x1sq_file):
+    """A wrong quotient leaves Lap h nonzero: the envelope says so and exits 1."""
+    true_quotient = fischer.quotient_polynomial
+    monkeypatch.setattr(fischer, "quotient_polynomial",
+                        lambda problem, f_m, memo=None:
+                        true_quotient(problem, f_m, memo) + Polynomial.constant(2, 1))
+    code, envelope = run(capsys, ["decompose", "--problem", parabola_file, "--data", x1sq_file])
+    assert code == 1
+    assert envelope["ok"] is False
+    assert envelope["result"]["certificate"]["exact"] is False
+    assert envelope["result"]["certificate"]["polyharmonic_residual"]["terms"]
+
+
+def test_verify_battery(capsys):
+    code = main(["verify", "--count", "20", "--equivalence-count", "10", "--m-max", "50"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0
+    assert len(lines) == 1
+    envelope = json.loads(lines[0])
+    assert envelope["command"] == "verify" and envelope["ok"] is True
+    assert len(envelope["checks"]) == 10
+    assert all(check["passed"] for check in envelope["checks"])
 
 
 def test_bound_scan_csv(capsys, tmp_path):

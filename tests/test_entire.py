@@ -18,6 +18,7 @@ from fischerdec.entire import (
     order_of_decomposition,
     small_type_criterion,
     strip_harmonic_series,
+    tail_report,
 )
 from fischerdec.fischer import decompose_recursive, quotient_polynomial
 from fischerdec.polynomials import (
@@ -206,20 +207,22 @@ def test_tail_report_shape():
     problem = to_fischer_problem(DomainSpec.ellipsoid(1, 1))
     series = exp_axis_series(2, 0, 16)
     result = decompose_entire(problem, series)
-    assert len(result.tail) == 17
-    norms = [row.quotient_norm for row in result.tail]
+    rows = tail_report(result.quotient, problem, result.order)
+    assert len(rows) == 17
+    norms = [row.quotient_norm for row in rows]
     assert max(norms) > 0.0
-    assert all(row.bound_shape is None or row.bound_shape >= 0 for row in result.tail)
+    assert all(row.bound_shape is None or row.bound_shape >= 0 for row in rows)
 
 
 def test_tail_report_survives_a_tiny_order():
     """(M+2k)^((M+2k)/rho) overflows a float for tiny rho; the shape is then 0.0."""
     problem = to_fischer_problem(DomainSpec.parabola(1))
     data = Polynomial.from_terms(2, {(10, 0): 1, (0, 1): 1})
-    result = decompose_entire(problem, EntireSeries.from_polynomial(data, 10), order_hint=0.01)
-    assert len(result.tail) == 11
+    result = decompose_entire(problem, EntireSeries.from_polynomial(data, 10), estimate_order=False)
+    rows = tail_report(result.quotient, problem, 0.01)
+    assert len(rows) == 11
     assert result.exact
-    shapes = [row.bound_shape for row in result.tail if row.bound_shape is not None]
+    shapes = [row.bound_shape for row in rows if row.bound_shape is not None]
     assert shapes and shapes[-1] == 0.0
 
 

@@ -15,6 +15,7 @@ from fischerdec.polynomials import (
     squared_norm_polynomial,
 )
 from fischerdec.sphere import (
+    certified_sup_norm_bound,
     circle_harmonic_basis,
     circle_polynomial,
     gauss_decompose,
@@ -251,21 +252,19 @@ def test_normalized_sqrt2_entries():
 def test_sup_norm_rotational_harmonic():
     for m in (1, 3, 6):
         f = circle_polynomial(m, "cos")
-        result = sup_norm_estimate(f)
-        assert math.isclose(result.estimate, 1.0, rel_tol=1e-12)
-        assert math.isclose(result.bound, math.sqrt(1 + m), rel_tol=1e-12)
+        assert math.isclose(sup_norm_estimate(f), 1.0, rel_tol=1e-12)
+        assert math.isclose(certified_sup_norm_bound(f), math.sqrt(1 + m), rel_tol=1e-12)
 
 
 def test_sup_norm_constant():
     f = HomogeneousPolynomial.monomial(2, (0, 0), 1)
-    result = sup_norm_estimate(f)
-    assert math.isclose(result.estimate, 1.0)
-    assert math.isclose(result.bound, math.sqrt(2.0))
+    assert math.isclose(sup_norm_estimate(f), 1.0)
+    assert math.isclose(certified_sup_norm_bound(f), math.sqrt(2.0))
 
 
 def test_sup_norm_zero():
-    result = sup_norm_estimate(HomogeneousPolynomial.zero(2, 3))
-    assert result.estimate == 0.0 and result.bound == 0.0
+    zero = HomogeneousPolynomial.zero(2, 3)
+    assert sup_norm_estimate(zero) == 0.0 and certified_sup_norm_bound(zero) == 0.0
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
@@ -273,5 +272,4 @@ def test_estimate_never_exceeds_bound(dimension):
     rng = random.Random(SEED + dimension)
     for degree in (0, 1, 2, 4, 7):
         f = _random_homogeneous(rng, dimension, degree)
-        result = sup_norm_estimate(f)
-        assert result.estimate <= result.bound * (1 + 1e-9)
+        assert sup_norm_estimate(f) <= certified_sup_norm_bound(f) * (1 + 1e-9)
