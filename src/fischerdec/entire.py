@@ -455,14 +455,17 @@ def small_type_criterion(problem: FischerProblem, rho: float, tau: float) -> Opt
 
     At order exactly (2k - beta)/alpha the series decomposition still works
     when (2k)^e / (2k-beta)^e * C * (D_0 + ... + D_beta) * (e rho tau)^e < 1
-    with e = (2k - beta)/rho; D_s are sup norms of the lower parts.
+    with e = (2k - beta)/rho; D_s are sup norms of the lower parts.  Each D_s
+    is taken as ``certified_sup_norm_bound``, an upper bound on the sup norm,
+    so ``satisfied`` is never claimed from an underestimate (a sampled sup
+    norm can miss the maximum).
     """
     if problem.growth is None or rho <= 0:
         return None
     exponent = (2 * problem.k - problem.beta) / rho
     d_total = 0.0
     for part in problem.lower.values():
-        d_total += sup_norm_estimate(part)
+        d_total += certified_sup_norm_bound(part)
     value = (
         (2 * problem.k) ** exponent
         / (2 * problem.k - problem.beta) ** exponent

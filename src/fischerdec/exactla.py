@@ -1,13 +1,17 @@
-"""Exact dense linear algebra over ``rationals.exact`` coefficients (real or complex).
+"""Exact linear algebra over ``rationals.exact`` coefficients (real or complex).
 
-Pivoting is by exact nonzero test: singularity is a certain verdict, never a
-tolerance call.  Matrices are lists of lists; sizes here are desk scale.
+Square systems are solved through one sparse LU: ``lu_factor`` eliminates
+once and records the row swaps, the multipliers and the sparse rows of U,
+and ``solve_linear`` replays them on each right-hand side, so a matrix
+solved many times is factored once.  Pivoting is by exact nonzero test:
+singularity is a certain verdict, never a tolerance call.  Matrices are
+lists of lists; sizes here are desk scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, TypeVar
+from typing import List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 Scalar = TypeVar("Scalar")
 
@@ -16,35 +20,87 @@ class SingularMatrixError(ValueError):
     """The linear system has no unique solution (exact rank deficiency)."""
 
 
-def solve_linear(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> List[Scalar]:
-    """Solve A x = b exactly by Gaussian elimination with nonzero pivoting."""
-    n = len(matrix)
-    if n == 0:
-        return []
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("solve_linear expects a square system")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+class LUFactors(NamedTuple):
+    """P A = L U for a square A, kept sparse and immutable.
 
+    Elimination step ``col`` swaps rows ``col`` and ``pivots[col]``, then
+    subtracts ``multiplier`` times row ``col`` from each ``(row, multiplier)``
+    in ``lower[col]``.  ``upper[row]`` is U's pivot on that row and its
+    nonzero ``(col, entry)`` pairs to the right of the diagonal.
+    """
+
+    pivots: Tuple[int, ...]
+    lower: Tuple[Tuple[Tuple[int, Scalar], ...], ...]
+    upper: Tuple[Tuple[Scalar, Tuple[Tuple[int, Scalar], ...]], ...]
+
+
+def lu_factor(matrix: Sequence[Sequence[Scalar]]) -> LUFactors:
+    """Factor a square matrix by sparse Gaussian elimination.
+
+    Each pivot is the first row at or below the column with a nonzero entry
+    there; raises SingularMatrixError at the first column that has none.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("lu_factor expects a square matrix")
+    rows = [{c: entry for c, entry in enumerate(row) if entry} for row in matrix]
+    pivots, lower = [], []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        pivot = next((r for r in range(col, n) if col in rows[r]), None)
         if pivot is None:
             raise SingularMatrixError(f"exact rank deficiency at column {col}")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        pivot_row = rows[col]
+        inv = pivot_row[col]
+        step = []
         for r in range(col + 1, n):
-            if aug[r][col]:
-                factor = aug[r][col] / inv
-                row_r, row_c = aug[r], aug[col]
-                for c in range(col, n + 1):
-                    row_r[c] = row_r[c] - factor * row_c[c]
+            row = rows[r]
+            lead = row.pop(col, None)
+            if lead is None:
+                continue
+            factor = lead / inv
+            step.append((r, factor))
+            for c, entry in pivot_row.items():
+                if c != col:
+                    value = row.get(c, 0) - factor * entry
+                    if value:
+                        row[c] = value
+                    else:
+                        row.pop(c, None)
+        pivots.append(pivot)
+        lower.append(tuple(step))
+    upper = tuple(
+        (row[i], tuple((c, entry) for c, entry in row.items() if c != i))
+        for i, row in enumerate(rows)
+    )
+    return LUFactors(tuple(pivots), tuple(lower), upper)
 
+
+def solve_linear(
+    matrix: Sequence[Sequence[Scalar]],
+    rhs: Sequence[Scalar],
+    factors: Optional[LUFactors] = None,
+) -> List[Scalar]:
+    """Solve A x = b exactly, replaying ``factors`` of A (factored here if None)."""
+    if factors is None:
+        factors = lu_factor(matrix)
+    n = len(factors.pivots)
+    if len(rhs) != n:
+        raise ValueError("solve_linear expects one right-hand side entry per row")
+    b = list(rhs)
+    for col, (pivot, step) in enumerate(zip(factors.pivots, factors.lower)):
+        b[col], b[pivot] = b[pivot], b[col]
+        lead = b[col]
+        if lead:
+            for r, factor in step:
+                b[r] = b[r] - factor * lead
     solution = [None] * n
     for row in range(n - 1, -1, -1):
-        acc = aug[row][n]
-        for c in range(row + 1, n):
-            acc = acc - aug[row][c] * solution[c]
-        solution[row] = acc / aug[row][row]
+        diagonal, entries = factors.upper[row]
+        acc = b[row]
+        for c, entry in entries:
+            acc = acc - entry * solution[c]
+        solution[row] = acc / diagonal
     return solution
 
 

@@ -153,14 +153,20 @@ class FischerProblem:
         return cls(dimension, k, leading, lower, growth)
 
 
-# Cached graded systems: (leading key, k, quotient degree) -> (matrix, basis, index).
+# Graded systems, a bounded LRU: (leading key, k, quotient degree) ->
+# (matrix, basis, index, factors), with factors = exactla.lu_factor(matrix).
+# Entries run from least to most recently used: a hit is popped and put back
+# at the end, and a build past _SYSTEM_CACHE_SIZE entries evicts the first.
+# A singular system raises while factoring and is never cached.
 _SYSTEM_CACHE: dict = {}
+_SYSTEM_CACHE_SIZE = 256
 
 
 def _graded_system(problem: FischerProblem, quotient_degree: int):
     cache_key = (problem.leading.key(), problem.k, quotient_degree)
-    hit = _SYSTEM_CACHE.get(cache_key)
+    hit = _SYSTEM_CACHE.pop(cache_key, None)
     if hit is not None:
+        _SYSTEM_CACHE[cache_key] = hit
         return hit
     basis = monomials_of_degree(problem.dimension, quotient_degree)
     index = {alpha: i for i, alpha in enumerate(basis)}
@@ -174,7 +180,9 @@ def _graded_system(problem: FischerProblem, quotient_degree: int):
             column[index[beta_idx]] = coeff
         columns.append(column)
     matrix = [[columns[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    entry = (matrix, basis, index)
+    entry = (matrix, basis, index, exactla.lu_factor(matrix))
+    while len(_SYSTEM_CACHE) >= _SYSTEM_CACHE_SIZE:
+        del _SYSTEM_CACHE[next(iter(_SYSTEM_CACHE))]
     _SYSTEM_CACHE[cache_key] = entry
     return entry
 
@@ -189,17 +197,17 @@ def fischer_operator_homogeneous(
     if f_m.degree < two_k or f_m.is_zero:
         return HomogeneousPolynomial.zero(problem.dimension, max(f_m.degree - two_k, 0))
     quotient_degree = f_m.degree - two_k
-    matrix, basis, index = _graded_system(problem, quotient_degree)
-    rhs = [0] * len(basis)
-    for beta_idx, coeff in laplacian_power(f_m.to_polynomial(), problem.k).part(quotient_degree).terms.items():
-        rhs[index[beta_idx]] = coeff
     try:
-        solution = exactla.solve_linear(matrix, rhs)
+        matrix, basis, index, factors = _graded_system(problem, quotient_degree)
     except exactla.SingularMatrixError as exc:
         raise SingularFischerOperator(
             f"leading term is not a Fischer pair with Lap^{problem.k} "
             f"on degree {f_m.degree}: {exc}"
         ) from exc
+    rhs = [0] * len(basis)
+    for beta_idx, coeff in laplacian_power(f_m.to_polynomial(), problem.k).part(quotient_degree).terms.items():
+        rhs[index[beta_idx]] = coeff
+    solution = exactla.solve_linear(matrix, rhs, factors)
     return HomogeneousPolynomial(
         problem.dimension, quotient_degree,
         {alpha: value for alpha, value in zip(basis, solution)},

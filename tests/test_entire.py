@@ -27,6 +27,7 @@ from fischerdec.polynomials import (
     laplacian,
     laplacian_power,
 )
+from fischerdec.sphere import sup_norm_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +258,26 @@ def test_small_type_criterion_reports():
     assert report is not None and "value" in report
     tiny = small_type_criterion(problem, 0.5, 1e-9)
     assert tiny is not None and tiny["satisfied"]
+
+
+def test_small_type_criterion_never_rests_on_a_sampled_sup_norm():
+    # With D_s sampled, the product can read below 1 where the certified
+    # bound on D_s does not: such a "satisfied" would be a false positive.
+    for spec in (DomainSpec.parabola(1), DomainSpec.strip(1)):
+        problem = to_fischer_problem(spec)
+        rho = 0.5
+        exponent = (2 * problem.k - problem.beta) / rho
+        sampled_total = sum(sup_norm_estimate(part) for part in problem.lower.values())
+
+        def sampled_value(tau):
+            return ((2 * problem.k) ** exponent / (2 * problem.k - problem.beta) ** exponent
+                    * problem.growth.scale * sampled_total * (math.e * rho * tau) ** exponent)
+
+        tau = (0.9 / sampled_value(1.0)) ** (1 / exponent)  # sampled value 0.9
+        for t in (0.01, 0.5 * tau, tau, 1.0):
+            assert small_type_criterion(problem, rho, t)["value"] >= sampled_value(t)
+        report = small_type_criterion(problem, rho, tau)
+        assert sampled_value(tau) < 1.0 and not report["satisfied"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Quotient operator, decomposition recursion, the iterated series, norm bounds."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from fischerdec import fischer
 from fischerdec.fischer import (
     BoundViolated,
     FischerProblem,
@@ -70,7 +72,8 @@ def test_low_degree_maps_to_zero():
 def test_singular_leading_term_detected():
     indefinite = HomogeneousPolynomial(2, 2, {(2, 0): 1, (0, 2): -1})
     problem = FischerProblem(2, 1, indefinite)
-    with pytest.raises(SingularFischerOperator):
+    message = "leading term is not a Fischer pair with Lap^1 on degree 4: exact rank deficiency at column 1"
+    with pytest.raises(SingularFischerOperator, match=f"^{re.escape(message)}$"):
         fischer_operator_homogeneous(problem, HomogeneousPolynomial.monomial(2, (4, 0), 1))
 
 
@@ -81,6 +84,80 @@ def test_quartic_leading_term():
     assert q == HomogeneousPolynomial.monomial(2, (0, 0), Fraction(3, 8))
     remainder = Polynomial.from_terms(2, {(4, 0): 1}) - r4.to_polynomial().scaled(Fraction(3, 8))
     assert laplacian_power(remainder, 2).is_zero
+
+
+# ---------------------------------------------------------------------------
+# The graded-system cache: a bounded LRU of factored systems
+# ---------------------------------------------------------------------------
+
+def _x2sq_data(degree):
+    return HomogeneousPolynomial.monomial(2, (1, degree - 1), 1)
+
+
+def test_system_cache_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(fischer, "_SYSTEM_CACHE", {})
+    for scale in range(1, fischer._SYSTEM_CACHE_SIZE + 40):
+        leading = HomogeneousPolynomial(2, 2, {(2, 0): scale, (0, 2): 1})
+        q = fischer_operator_homogeneous(FischerProblem(2, 1, leading), R2)
+        assert q == HomogeneousPolynomial.monomial(2, (0, 0), Fraction(2, scale + 1))
+        assert len(fischer._SYSTEM_CACHE) == min(scale, fischer._SYSTEM_CACHE_SIZE)
+
+
+def test_system_cache_hit_refreshes_recency(monkeypatch):
+    monkeypatch.setattr(fischer, "_SYSTEM_CACHE", {})
+    monkeypatch.setattr(fischer, "_SYSTEM_CACHE_SIZE", 3)
+    problem = x2sq_problem()
+
+    def key(degree):
+        return (X2SQ.key(), 1, degree - 2)
+
+    for degree in (2, 3, 4):
+        fischer_operator_homogeneous(problem, _x2sq_data(degree))
+    fischer_operator_homogeneous(problem, _x2sq_data(2))  # a hit: now most recent
+    fischer_operator_homogeneous(problem, _x2sq_data(5))  # evicts degree 3, not 2
+    assert list(fischer._SYSTEM_CACHE) == [key(4), key(2), key(5)]
+
+
+def test_system_rebuilt_after_eviction_gives_the_identical_quotient(monkeypatch):
+    monkeypatch.setattr(fischer, "_SYSTEM_CACHE", {})
+    monkeypatch.setattr(fischer, "_SYSTEM_CACHE_SIZE", 1)
+    problem = x2sq_problem({1: HomogeneousPolynomial.monomial(2, (1, 0), 1)})
+    f = random_homogeneous(random.Random(SEED), 2, 9)
+    first = fischer_operator_homogeneous(problem, f)
+    (matrix, *_), = fischer._SYSTEM_CACHE.values()
+    fischer_operator_homogeneous(problem, _x2sq_data(4))  # evicts the degree-9 system
+    again = fischer_operator_homogeneous(problem, f)
+    (rebuilt, *_), = fischer._SYSTEM_CACHE.values()
+    assert rebuilt is not matrix and rebuilt == matrix
+    assert again == first
+    # The whole recursion, evicting at every degree change, agrees with a roomy cache.
+    data = random_polynomial(random.Random(SEED + 3), 2, 10)
+    evicting = decompose_recursive(problem, data)
+    monkeypatch.setattr(fischer, "_SYSTEM_CACHE_SIZE", 256)
+    assert decompose_recursive(problem, data).quotient == evicting.quotient
+
+
+def test_system_cache_works_as_a_plain_dict(monkeypatch):
+    plain = {}
+    monkeypatch.setattr(fischer, "_SYSTEM_CACHE", plain)
+    problem = x2sq_problem({1: HomogeneousPolynomial.monomial(2, (1, 0), 1)})
+    data = random_polynomial(random.Random(SEED + 4), 2, 8)
+    first = decompose_recursive(problem, data)
+    assert plain
+    assert decompose_recursive(problem, data).quotient == first.quotient
+    plain.clear()
+    assert decompose_recursive(problem, data).quotient == first.quotient
+    assert plain
+
+
+def test_singular_system_is_not_cached(monkeypatch):
+    monkeypatch.setattr(fischer, "_SYSTEM_CACHE", {})
+    indefinite = HomogeneousPolynomial(2, 2, {(2, 0): 1, (0, 2): -1})
+    problem = FischerProblem(2, 1, indefinite)
+    for _ in range(2):
+        with pytest.raises(SingularFischerOperator):
+            fischer_operator_homogeneous(problem, HomogeneousPolynomial.monomial(2, (4, 0), 1))
+    assert fischer._SYSTEM_CACHE == {}
 
 
 # ---------------------------------------------------------------------------

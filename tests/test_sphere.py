@@ -189,24 +189,30 @@ def test_gauss_parseval_exact(dimension, degree):
 
 def test_gauss_reuses_the_cached_fischer_systems(monkeypatch):
     # A Gauss split is the Fischer split with P = |x|^2, k = 1: once
-    # decompose_recursive has built those graded systems, the split solves
-    # with the cached matrices and builds none of its own.
+    # decompose_recursive has built and factored those graded systems, the
+    # split solves with the cached matrices and factors and builds none.
     monkeypatch.setattr(fischer, "_SYSTEM_CACHE", {})
     rng = random.Random(SEED)
     radial = squared_norm_polynomial(3).part(2)
     data = Polynomial(3, {m: _random_homogeneous(rng, 3, m) for m in range(9)})
     fischer.decompose_recursive(fischer.FischerProblem(3, 1, radial), data)
     entries = len(fischer._SYSTEM_CACHE)
-    cached = {id(matrix) for matrix, _, _ in fischer._SYSTEM_CACHE.values()}
+    cached = {id(matrix) for matrix, _, _, _ in fischer._SYSTEM_CACHE.values()}
+    factors_of = {id(matrix): factors for matrix, _, _, factors in fischer._SYSTEM_CACHE.values()}
 
     solved = []
     solve_linear = exactla.solve_linear
 
-    def recording_solve(matrix, rhs):
+    def recording_solve(matrix, rhs, factors):
         solved.append(id(matrix))
-        return solve_linear(matrix, rhs)
+        assert factors is factors_of[id(matrix)]
+        return solve_linear(matrix, rhs, factors)
+
+    def refused_factor(matrix):
+        raise AssertionError("a Gauss split refactored a cached system")
 
     monkeypatch.setattr(exactla, "solve_linear", recording_solve)
+    monkeypatch.setattr(exactla, "lu_factor", refused_factor)
     f = data.part(8)
     decomposition = gauss_decompose(f)
     assert decomposition.verify(f)
